@@ -8,26 +8,19 @@
  * maintainer update against a from-scratch recompute of the same
  * kernel on the same post-mutation view.  Results are verified every
  * round: CC labels, BFS depths, and SSSP distances must be
- * bit-identical to the full recompute, and delta PageRank must agree
- * within the convergence epsilon (1e-6).
+ * bit-identical to the full recompute.
  *
  * The gate: over all measured rounds, sum(full) / sum(incremental)
  * must be at least --min-speedup (default 5) for CC, BFS, and SSSP.
- * PageRank is reported but not gated — on laptop-scale low-diameter
- * graphs the delta frontier decays slowly relative to the graph size,
- * so the production policy legitimately falls back to full recompute
- * there (the fallback is itself the policy under test).
  *
  * Writes a fingerprinted perf-baseline JSONL (--out) with one cell per
  * kernel x {Incremental, Full} that tools/perf_gate can compare across
- * runs; the committed reference lives in
- * perf/baselines/dyn_maintenance.jsonl.
+ * runs on the same host.
  *
  * Exit codes: 0 ok, 1 usage, 2 correctness violation (result mismatch,
- * or a gated kernel unexpectedly fell back to full recompute),
+ * or a kernel unexpectedly fell back to full recompute),
  * 3 output-file error, 4 speedup below --min-speedup.
  */
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iomanip>
@@ -55,7 +48,6 @@ using gm::vid_t;
 constexpr std::uint64_t kGraphSeed = 7;
 constexpr std::uint64_t kWeightSeed = 7;
 constexpr vid_t kSource = 0;
-constexpr double kPrEpsilon = 1e-6;
 
 void
 usage()
@@ -94,10 +86,8 @@ insert_batch(vid_t n, std::uint64_t seed, std::uint64_t arcs)
 struct KernelTimes
 {
     const char* name;
-    bool gated;
     std::vector<double> incremental_seconds;
     std::vector<double> full_seconds;
-    int fallbacks = 0;
 
     double
     sum(const std::vector<double>& v) const
@@ -169,20 +159,14 @@ main(int argc, char** argv)
     gm::dyn::CCMaintainer cc;
     gm::dyn::BfsMaintainer bfs(kSource);
     gm::dyn::SsspMaintainer sssp(kSource, kWeightSeed);
-    gm::dyn::PageRankMaintainer pr;
     cc.rebuild(view);
     bfs.rebuild(view);
     sssp.rebuild(view);
-    pr.rebuild(view);
 
-    KernelTimes times[] = {{"CC", true, {}, {}},
-                           {"BFS", true, {}, {}},
-                           {"SSSP", true, {}, {}},
-                           {"PR", false, {}, {}}};
+    KernelTimes times[] = {{"CC", {}, {}}, {"BFS", {}, {}}, {"SSSP", {}, {}}};
     KernelTimes& cc_t = times[0];
     KernelTimes& bfs_t = times[1];
     KernelTimes& sssp_t = times[2];
-    KernelTimes& pr_t = times[3];
 
     // One untimed warm-up round, then `rounds` measured ones.
     for (int round = -1; round < rounds; ++round) {
@@ -199,20 +183,16 @@ main(int argc, char** argv)
         }
         view = dg.view();
 
-        bool inc_cc = false, inc_bfs = false, inc_sssp = false,
-             inc_pr = false;
+        bool inc_cc = false, inc_bfs = false, inc_sssp = false;
         const double cc_inc =
             timed([&] { inc_cc = cc.update(view, *effect); });
         const double bfs_inc =
             timed([&] { inc_bfs = bfs.update(view, *effect); });
         const double sssp_inc =
             timed([&] { inc_sssp = sssp.update(view, *effect); });
-        const double pr_inc =
-            timed([&] { inc_pr = pr.update(view, *effect); });
 
         std::vector<vid_t> full_cc, full_bfs;
         std::vector<gm::weight_t> full_sssp;
-        std::vector<gm::score_t> full_pr;
         const double cc_full =
             timed([&] { full_cc = gm::dyn::cc_labels(view); });
         const double bfs_full =
@@ -220,8 +200,6 @@ main(int argc, char** argv)
         const double sssp_full = timed([&] {
             full_sssp = gm::dyn::sssp_dists(view, kSource, kWeightSeed);
         });
-        const double pr_full =
-            timed([&] { full_pr = gm::dyn::pagerank(view); });
 
         // Correctness every round, warm-up included.
         if (cc.labels() != full_cc) {
@@ -236,17 +214,8 @@ main(int argc, char** argv)
             std::cerr << "SSSP dists diverged from full recompute\n";
             return 2;
         }
-        gm::score_t pr_diff = 0;
-        for (std::size_t i = 0; i < full_pr.size(); ++i)
-            pr_diff = std::max(pr_diff,
-                               std::abs(pr.scores()[i] - full_pr[i]));
-        if (pr_diff > kPrEpsilon) {
-            std::cerr << "PR scores diverged from full recompute (max "
-                      << pr_diff << ")\n";
-            return 2;
-        }
         if (!inc_cc || !inc_bfs || !inc_sssp) {
-            std::cerr << "a gated kernel fell back to full recompute "
+            std::cerr << "a kernel fell back to full recompute "
                          "(cc=" << inc_cc << " bfs=" << inc_bfs
                       << " sssp=" << inc_sssp << "); the batch is too "
                          "large for the policy threshold\n";
@@ -260,10 +229,6 @@ main(int argc, char** argv)
             bfs_t.full_seconds.push_back(bfs_full);
             sssp_t.incremental_seconds.push_back(sssp_inc);
             sssp_t.full_seconds.push_back(sssp_full);
-            pr_t.incremental_seconds.push_back(pr_inc);
-            pr_t.full_seconds.push_back(pr_full);
-            if (!inc_pr)
-                ++pr_t.fallbacks;
         }
         dg.compact();
         view = dg.view();
@@ -271,8 +236,7 @@ main(int argc, char** argv)
 
     std::cout << std::left << std::setw(6) << "Kernel" << std::right
               << std::setw(12) << "Incr(ms)" << std::setw(12) << "Full(ms)"
-              << std::setw(10) << "Speedup" << std::setw(8) << "Gated"
-              << "\n";
+              << std::setw(10) << "Speedup" << "\n";
     bool gate_ok = true;
     for (const KernelTimes& k : times) {
         const double speedup = k.speedup();
@@ -280,12 +244,8 @@ main(int argc, char** argv)
                   << std::fixed << std::setprecision(3) << std::setw(12)
                   << k.sum(k.incremental_seconds) * 1e3 << std::setw(12)
                   << k.sum(k.full_seconds) * 1e3 << std::setw(9)
-                  << std::setprecision(1) << speedup << "x" << std::setw(7)
-                  << (k.gated ? "yes" : "no");
-        if (k.fallbacks > 0)
-            std::cout << "  (" << k.fallbacks << " policy fallback(s))";
-        std::cout << "\n";
-        if (k.gated && min_speedup > 0 && speedup < min_speedup)
+                  << std::setprecision(1) << speedup << "x\n";
+        if (min_speedup > 0 && speedup < min_speedup)
             gate_ok = false;
     }
 
@@ -315,8 +275,6 @@ main(int argc, char** argv)
                     static_cast<std::uint64_t>(rounds);
                 cell.counters["speedup_x1000"] =
                     static_cast<std::uint64_t>(k.speedup() * 1000);
-                cell.counters["fallbacks"] =
-                    static_cast<std::uint64_t>(k.fallbacks);
                 baseline.cells.push_back(std::move(cell));
             }
         }
@@ -331,7 +289,7 @@ main(int argc, char** argv)
 
     if (!gate_ok) {
         std::cerr << "FAIL: incremental speedup below " << min_speedup
-                  << "x on a gated kernel\n";
+                  << "x on CC/BFS/SSSP\n";
         return 4;
     }
     std::cout << "OK: incremental maintenance at least "

@@ -13,21 +13,17 @@
  *  - bfs_depths: hop distance from the source (-1 unreached);
  *  - sssp_dists: shortest weighted distance from the source, with the
  *                store's deterministic pair weights (kInfWeight
- *                unreached);
- *  - pagerank:   pull-style Jacobi iteration to an L1 tolerance —
- *                contractive, so the incremental (delta) variant lands
- *                within convergence epsilon of the full result.
+ *                unreached).
  *
  * Each maintainer keeps the previous result and repairs it from a
  * BatchEffect: CC re-links the batch-touched endpoints (union by min
  * label, then one relabel pass — skipped entirely when no insert joins
  * two components); BFS/SSSP re-trigger monotone relaxation from endpoints
- * a new arc improved; PageRank re-converges only the dirty frontier.
- * Every maintainer falls back to full recompute when the dirty set
- * exceeds its threshold — and CC/BFS/SSSP also on any effective delete,
- * since deletions break their monotone-repair arguments.  Decisions are
- * deterministic (pure functions of the effect), so repaired results are
- * bit-identical across GM_THREADS.
+ * a new arc improved.  Every maintainer falls back to full recompute on
+ * any effective delete, since deletions break the monotone-repair
+ * arguments, and when the dirty set exceeds its threshold.  Decisions
+ * are deterministic (pure functions of the effect), so repaired results
+ * are bit-identical across GM_THREADS.
  */
 #pragma once
 
@@ -50,18 +46,6 @@ std::vector<vid_t> bfs_depths(const GraphView& view, vid_t source);
  *  graph::pair_weight weights (kInfWeight unreached); follows out-arcs. */
 std::vector<weight_t> sssp_dists(const GraphView& view, vid_t source,
                                  std::uint64_t weight_seed);
-
-/** Knobs for the canonical PageRank. */
-struct PageRankOptions
-{
-    score_t damping = 0.85;
-    score_t tolerance = 1e-9; ///< L1 stop threshold for the full solve
-    int max_iters = 200;
-};
-
-/** Canonical pull-Jacobi PageRank over the merged view. */
-std::vector<score_t> pagerank(const GraphView& view,
-                              const PageRankOptions& opts = {});
 
 /** Incremental-vs-full decision counters, exported as gm_dyn_* metrics. */
 struct MaintainerStats
@@ -142,31 +126,6 @@ class SsspMaintainer
     std::uint64_t weight_seed_;
     MaintainerOptions opts_;
     std::vector<weight_t> dists_;
-    MaintainerStats stats_;
-};
-
-/** Delta PageRank: re-converges only the dirty frontier.  Handles deletes
- *  (the pull update re-reads the live adjacency); falls back on dirty
- *  fraction only. */
-class PageRankMaintainer
-{
-  public:
-    explicit PageRankMaintainer(const PageRankOptions& pr = {},
-                                const MaintainerOptions& opts = {})
-        : pr_(pr), opts_(opts)
-    {
-    }
-
-    void rebuild(const GraphView& view);
-    bool update(const GraphView& view, const BatchEffect& effect);
-
-    const std::vector<score_t>& scores() const { return scores_; }
-    const MaintainerStats& stats() const { return stats_; }
-
-  private:
-    PageRankOptions pr_;
-    MaintainerOptions opts_;
-    std::vector<score_t> scores_;
     MaintainerStats stats_;
 };
 

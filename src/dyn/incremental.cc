@@ -1,7 +1,6 @@
 #include "gm/dyn/incremental.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <queue>
 #include <unordered_map>
@@ -119,38 +118,6 @@ sssp_dists(const GraphView& view, vid_t source, std::uint64_t weight_seed)
         });
     }
     return dist;
-}
-
-std::vector<score_t>
-pagerank(const GraphView& view, const PageRankOptions& opts)
-{
-    const vid_t n = view.num_vertices();
-    if (n == 0)
-        return {};
-    const score_t base = (1.0 - opts.damping) / n;
-    std::vector<score_t> scores(static_cast<std::size_t>(n), 1.0 / n);
-    std::vector<score_t> next(static_cast<std::size_t>(n));
-    for (int iter = 0; iter < opts.max_iters; ++iter) {
-        // Independent per-vertex writes; each vertex accumulates its
-        // sorted in-row sequentially, so the sum order is fixed and the
-        // result width-invariant.
-        par::parallel_for<vid_t>(0, n, [&](vid_t v) {
-            score_t sum = 0;
-            view.for_in(v, [&](vid_t u) {
-                const eid_t d = view.out_degree(u);
-                if (d > 0)
-                    sum += scores[u] / static_cast<score_t>(d);
-            });
-            next[v] = base + opts.damping * sum;
-        });
-        score_t err = 0;
-        for (vid_t v = 0; v < n; ++v)
-            err += std::fabs(next[v] - scores[v]);
-        scores.swap(next);
-        if (err < opts.tolerance)
-            break;
-    }
-    return scores;
 }
 
 void
@@ -294,76 +261,6 @@ SsspMaintainer::update(const GraphView& view, const BatchEffect& effect)
                 pq.push({dists_[t], t});
             }
         });
-    }
-    ++stats_.incremental;
-    return true;
-}
-
-void
-PageRankMaintainer::rebuild(const GraphView& view)
-{
-    scores_ = pagerank(view, pr_);
-}
-
-bool
-PageRankMaintainer::update(const GraphView& view, const BatchEffect& effect)
-{
-    const vid_t n = view.num_vertices();
-    stats_.last_dirty_fraction = effect.dirty_fraction(n);
-    if (stats_.last_dirty_fraction > opts_.full_threshold) {
-        rebuild(view);
-        ++stats_.full;
-        return false;
-    }
-    // Deletes are fine here: the pull update re-reads the live adjacency,
-    // so any local structure change just perturbs the fixed point the
-    // dirty frontier re-converges to.
-    const score_t base = (1.0 - pr_.damping) / n;
-    const auto pull = [&](vid_t v) {
-        score_t sum = 0;
-        view.for_in(v, [&](vid_t u) {
-            const eid_t d = view.out_degree(u);
-            if (d > 0)
-                sum += scores_[u] / static_cast<score_t>(d);
-        });
-        return base + pr_.damping * sum;
-    };
-
-    // Seed frontier: touched vertices plus everyone they feed (an
-    // endpoint's out-degree change rescales its contribution to every
-    // out-neighbor).
-    std::vector<vid_t> active;
-    for (const vid_t d : effect.dirty) {
-        active.push_back(d);
-        view.for_out(d, [&](vid_t t) { active.push_back(t); });
-    }
-    std::sort(active.begin(), active.end());
-    active.erase(std::unique(active.begin(), active.end()), active.end());
-
-    const std::size_t explode =
-        static_cast<std::size_t>(opts_.full_threshold * 10.0 *
-                                 static_cast<double>(n)) +
-        1;
-    for (int iter = 0; iter < pr_.max_iters && !active.empty(); ++iter) {
-        if (active.size() > explode) {
-            rebuild(view); // frontier blew up: cheaper to recompute
-            ++stats_.full;
-            return false;
-        }
-        std::vector<std::pair<vid_t, score_t>> updates;
-        updates.reserve(active.size());
-        for (const vid_t v : active)
-            updates.emplace_back(v, pull(v));
-        std::vector<vid_t> next;
-        for (const auto& [v, s] : updates) {
-            if (std::fabs(s - scores_[v]) > pr_.tolerance) {
-                view.for_out(v, [&](vid_t t) { next.push_back(t); });
-            }
-            scores_[v] = s; // Jacobi: applied after the whole scan
-        }
-        std::sort(next.begin(), next.end());
-        next.erase(std::unique(next.begin(), next.end()), next.end());
-        active.swap(next);
     }
     ++stats_.incremental;
     return true;

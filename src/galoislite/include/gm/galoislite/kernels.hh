@@ -53,8 +53,8 @@ std::vector<vid_t> cc_afforest(const CSRGraph& graph);
  *  for Web in the Optimized data set). */
 std::vector<vid_t> cc_afforest_edge_blocked(const CSRGraph& graph);
 
-/** Gauss–Seidel (in-place) PageRank; converges in fewer rounds than the
- *  GAP reference's Jacobi iteration. */
+/** Blocked Gauss–Seidel PageRank (graph::blocked_gauss_seidel_pagerank);
+ *  converges in fewer rounds than the GAP reference's Jacobi iteration. */
 std::vector<score_t> pagerank_gauss_seidel(const CSRGraph& graph,
                                            double damping = 0.85,
                                            double tolerance = 1e-4,

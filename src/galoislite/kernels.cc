@@ -8,6 +8,7 @@
 
 #include "gm/galoislite/worklist.hh"
 #include "gm/graph/builder.hh"
+#include "gm/graph/pagerank.hh"
 #include "gm/graph/stats.hh"
 #include "gm/obs/trace.hh"
 #include "gm/par/atomics.hh"
@@ -450,57 +451,10 @@ std::vector<score_t>
 pagerank_gauss_seidel(const CSRGraph& g, double damping, double tolerance,
                       int max_iters)
 {
-    const vid_t n = g.num_vertices();
-    const score_t base = (1.0 - damping) / n;
-    std::vector<score_t> scores(static_cast<std::size_t>(n), score_t{1} / n);
-    // Blocked Gauss-Seidel on the *contribution* vector: the per-edge
-    // inner loop touches one stream (like Jacobi's), but later blocks of
-    // the sweep already see earlier blocks' committed updates — fewer
-    // rounds.  The block grid depends on n only and blocks commit in
-    // ascending order, keeping the result lane-count independent.
-    std::vector<score_t> contrib(static_cast<std::size_t>(n));
-    std::vector<score_t> inv_degree(static_cast<std::size_t>(n));
-    par::parallel_for<vid_t>(0, n, [&](vid_t v) {
-        const eid_t d = g.out_degree(v);
-        inv_degree[v] = d > 0 ? score_t{1} / d : 0;
-        contrib[v] = scores[v] * inv_degree[v];
-    }, par::Schedule::kStatic);
-
-    constexpr vid_t kBlocks = 64;
-    const vid_t block = (n + kBlocks - 1) / kBlocks < 1
-                            ? 1
-                            : (n + kBlocks - 1) / kBlocks;
-    std::vector<score_t> staged(static_cast<std::size_t>(block));
-
-    for (int iter = 0; iter < max_iters; ++iter) {
-        double error = 0.0;
-        for (vid_t lo = 0; lo < n; lo += block) {
-            const vid_t hi = std::min<vid_t>(lo + block, n);
-            error += par::parallel_reduce<vid_t, double>(
-                lo, hi, 0.0,
-                [&](vid_t v) {
-                    score_t incoming = 0;
-                    for (vid_t u : g.in_neigh(v))
-                        incoming += contrib[u];
-                    const score_t next = base + damping * incoming;
-                    const score_t old = scores[v];
-                    scores[v] = next;
-                    staged[v - lo] = next * inv_degree[v];
-                    return std::fabs(next - old);
-                },
-                [](double a, double b) { return a + b; });
-            par::parallel_for<vid_t>(lo, hi, [&](vid_t v) {
-                contrib[v] = staged[v - lo];
-            }, par::Schedule::kStatic);
-        }
-        obs::counter_add("iterations", 1);
-        obs::counter_add("edges_traversed",
-                         static_cast<std::uint64_t>(
-                             g.num_edges_directed()));
-        if (error < tolerance)
-            break;
-    }
-    return scores;
+    return graph::blocked_gauss_seidel_pagerank(
+        g.num_vertices(), [&](vid_t v) { return g.out_degree(v); },
+        [&](vid_t v) { return g.in_neigh(v); }, damping, tolerance,
+        max_iters);
 }
 
 // ----------------------------------------------------------------- BC ----

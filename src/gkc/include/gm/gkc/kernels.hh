@@ -33,7 +33,7 @@ std::vector<weight_t> sssp(const WCSRGraph& graph, vid_t source,
 /** Hybrid Shiloach–Vishkin connected components. */
 std::vector<vid_t> cc_sv(const CSRGraph& graph);
 
-/** Gauss–Seidel PageRank with blocked in-place updates. */
+/** Blocked Gauss–Seidel PageRank (graph::blocked_gauss_seidel_pagerank). */
 std::vector<score_t> pagerank(const CSRGraph& graph, double damping = 0.85,
                               double tolerance = 1e-4, int max_iters = 100);
 

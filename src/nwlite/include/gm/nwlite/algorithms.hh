@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "gm/graph/builder.hh"
+#include "gm/graph/pagerank.hh"
 #include "gm/graph/stats.hh"
 #include "gm/nwlite/adjacency.hh"
 #include "gm/obs/trace.hh"
@@ -278,60 +279,16 @@ afforest(const G& g)
     return comp;
 }
 
-/** Gauss–Seidel PageRank over in-edges. */
+/** Gauss–Seidel PageRank over in-edges (the shared blocked sweep). */
 template <bidirectional_adjacency_list G>
 std::vector<score_t>
 pagerank(const G& g, double damping = 0.85, double tolerance = 1e-4,
          int max_iters = 100)
 {
-    const vid_t n = g.num_vertices();
-    const score_t base = (1.0 - damping) / n;
-    std::vector<score_t> scores(static_cast<std::size_t>(n), score_t{1} / n);
-    // Blocked Gauss-Seidel over the contribution vector: the per-edge
-    // stream matches Jacobi's, but later blocks of the sweep see earlier
-    // blocks' committed updates.  The block grid depends on n only and
-    // blocks commit in ascending order, keeping the result lane-count
-    // independent.
-    std::vector<score_t> contrib(static_cast<std::size_t>(n));
-    std::vector<score_t> inv_degree(static_cast<std::size_t>(n));
-    par::parallel_for<vid_t>(0, n, [&](vid_t v) {
-        const auto d = g.degree(v);
-        inv_degree[v] = d > 0 ? score_t{1} / static_cast<score_t>(d) : 0;
-        contrib[v] = scores[v] * inv_degree[v];
-    }, par::Schedule::kStatic);
-
-    constexpr vid_t kBlocks = 64;
-    const vid_t block = (n + kBlocks - 1) / kBlocks < 1
-                            ? 1
-                            : (n + kBlocks - 1) / kBlocks;
-    std::vector<score_t> staged(static_cast<std::size_t>(block));
-
-    for (int iter = 0; iter < max_iters; ++iter) {
-        double error = 0.0;
-        for (vid_t lo = 0; lo < n; lo += block) {
-            const vid_t hi = std::min<vid_t>(lo + block, n);
-            error += par::parallel_reduce<vid_t, double>(
-                lo, hi, 0.0,
-                [&](vid_t v) {
-                    score_t incoming = 0;
-                    for (vid_t u : g.in_edges(v))
-                        incoming += contrib[u];
-                    const score_t next = base + damping * incoming;
-                    const score_t old = scores[v];
-                    scores[v] = next;
-                    staged[v - lo] = next * inv_degree[v];
-                    return std::fabs(next - old);
-                },
-                [](double a, double b) { return a + b; });
-            par::parallel_for<vid_t>(lo, hi, [&](vid_t v) {
-                contrib[v] = staged[v - lo];
-            }, par::Schedule::kStatic);
-        }
-        obs::counter_add("iterations", 1);
-        if (error < tolerance)
-            break;
-    }
-    return scores;
+    return graph::blocked_gauss_seidel_pagerank(
+        g.num_vertices(), [&](vid_t v) { return g.degree(v); },
+        [&](vid_t v) { return g.in_edges(v); }, damping, tolerance,
+        max_iters);
 }
 
 /** Brandes betweenness centrality without direction optimization. */

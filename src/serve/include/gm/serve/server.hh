@@ -142,9 +142,6 @@ struct ServerOptions
      *  the generation; 0 = never compact, deltas accumulate and queries
      *  keep reading the merged view's base generation). */
     int dyn_compact_every = 1;
-    /** Dirty-set fraction (|touched vertices| / n) above which the
-     *  incremental kernel maintainers fall back to full recompute. */
-    double dyn_full_threshold = 0.05;
 };
 
 /** Outcome of one Server::mutate() batch, for callers and tests. */
@@ -159,11 +156,12 @@ struct MutationOutcome
     std::size_t dirty = 0;       ///< vertices whose adjacency changed
     double dirty_fraction = 0;   ///< dirty / n
     bool compacted = false;      ///< folded into a fresh CSR generation
-    /** Incremental-vs-full decisions for the maintained kernels (false =
-     *  fell back to full recompute; meaningless when nothing changed). */
+    /** Incremental-vs-full decision of the CC maintainer (false = fell
+     *  back to full recompute; meaningless when nothing changed). */
     bool cc_incremental = false;
-    bool pr_incremental = false;
-    double mutate_seconds = 0;   ///< apply + maintain + compact wall time
+    /** apply + maintain + compact wall time, from the moment the lane
+     *  budget is held (the quiesce wait before it is not counted). */
+    double mutate_seconds = 0;
 };
 
 /**
@@ -392,9 +390,9 @@ class Server
      * Blocks until every executing leader finishes (the mutation
      * quiesces kernel execution by holding the entire lane budget), then
      * applies the batch to the graph's gm::dyn overlay, repairs the
-     * maintained kernels (CC and PageRank — incrementally when the dirty
-     * set is small and the batch is insert-only for CC, full recompute
-     * otherwise), and per dyn_compact_every folds the overlay into a
+     * maintained connected components (incrementally when the batch is
+     * insert-only and its dirty set is small, full recompute otherwise),
+     * and per dyn_compact_every folds the overlay into a
      * fresh CSR generation installed into the store.  Queries submitted
      * concurrently are unaffected except for waiting: cached answers
      * from older generations stop being fresh hits (they remain

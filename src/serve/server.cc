@@ -34,26 +34,23 @@ namespace detail
 
 /**
  * Per-graph dynamic state, created lazily on the first mutate() for a
- * graph: the store's delta overlay plus the kernels the server maintains
- * across mutations.  CC and PageRank are global (sourceless) answers, so
- * one maintainer each covers the graph; BFS/SSSP maintenance is per
- * source and lives with callers that pin a source (bench/dyn_maintenance
- * exercises it).  Guarded by the server's dyn_mu_.
+ * graph: the store's delta overlay plus the CC maintainer, whose
+ * incremental-vs-full decisions feed the gm_dyn_* counters.  CC is a
+ * global (sourceless) answer, so one maintainer covers the graph;
+ * BFS/SSSP maintenance is per source and lives with callers that pin a
+ * source (bench/dyn_maintenance exercises it).  Guarded by the server's
+ * dyn_mu_.
  */
 struct DynState
 {
     dyn::DynamicGraph graph;
     dyn::CCMaintainer cc;
-    dyn::PageRankMaintainer pr;
     std::uint64_t batches = 0; ///< applied batches (compaction cadence)
 
-    DynState(std::shared_ptr<store::GraphStore> store,
-             const dyn::MaintainerOptions& opts)
-        : graph(std::move(store)), cc(opts), pr({}, opts)
+    explicit DynState(std::shared_ptr<store::GraphStore> store)
+        : graph(std::move(store))
     {
-        const dyn::GraphView view = graph.view();
-        cc.rebuild(view);
-        pr.rebuild(view);
+        cc.rebuild(graph.view());
     }
 };
 
@@ -534,13 +531,14 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
                           "server is shut down");
     }
 
-    const std::int64_t begin_ns = Timer::now_ns();
     MutationOutcome outcome;
     outcome.requested = batch.size();
 
     // Exclusive with kernel execution (leaders read the store's base by
-    // plain reference) and, via dyn_mu_, with other mutations.
+    // plain reference) and, via dyn_mu_, with other mutations.  The clock
+    // starts once the lanes are held, so the quiesce wait is not counted.
     acquire_all_lanes();
+    const std::int64_t begin_ns = Timer::now_ns();
     Status status = Status::ok();
     std::uint64_t generation_peak = 0;
     double overlay_bytes = 0;
@@ -548,11 +546,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         std::lock_guard<std::mutex> lock(dyn_mu_);
         auto it = dyn_.find(graph);
         if (it == dyn_.end())
-            it = dyn_.emplace(graph,
-                              std::make_unique<detail::DynState>(
-                                  ds->store(),
-                                  dyn::MaintainerOptions{
-                                      options_.dyn_full_threshold}))
+            it = dyn_.emplace(graph, std::make_unique<detail::DynState>(
+                                         ds->store()))
                      .first;
         detail::DynState& st = *it->second;
         auto effect_or = st.graph.apply(batch);
@@ -566,10 +561,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
             outcome.dirty = effect.dirty.size();
             outcome.dirty_fraction =
                 effect.dirty_fraction(view.num_vertices());
-            if (effect.changed()) {
+            if (effect.changed())
                 outcome.cc_incremental = st.cc.update(view, effect);
-                outcome.pr_incremental = st.pr.update(view, effect);
-            }
             ++st.batches;
             if (options_.dyn_compact_every > 0 &&
                 st.batches % static_cast<std::uint64_t>(
@@ -597,10 +590,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     const bool changed =
         outcome.inserted_arcs > 0 || outcome.deleted_arcs > 0;
     const std::uint64_t incremental =
-        changed ? static_cast<std::uint64_t>(outcome.cc_incremental) +
-                      static_cast<std::uint64_t>(outcome.pr_incremental)
-                : 0;
-    const std::uint64_t full = changed ? 2 - incremental : 0;
+        changed && outcome.cc_incremental ? 1 : 0;
+    const std::uint64_t full = changed && !outcome.cc_incremental ? 1 : 0;
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++counters_.mutations;
@@ -1221,9 +1212,7 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"deleted_arcs\":" << outcome.deleted_arcs
          << ",\"dirty\":" << outcome.dirty << ",\"dirty_fraction\":"
          << support::json_double(outcome.dirty_fraction) << ",\"cc\":\""
-         << decision(outcome.cc_incremental) << "\",\"pr\":\""
-         << decision(outcome.pr_incremental)
-         << "\",\"compacted\":" << (outcome.compacted ? 1 : 0)
+         << decision(outcome.cc_incremental) << "\",\"compacted\":" << (outcome.compacted ? 1 : 0)
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";

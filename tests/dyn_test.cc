@@ -4,7 +4,7 @@
  * CSR graph::build_graph would produce from the surviving edge set),
  * cross-width determinism of compaction and incremental maintenance at
  * lease widths {1, 2, 5, 8}, incremental-vs-full equivalence (CC/BFS/SSSP
- * bit-identical, delta PageRank within convergence epsilon), and the
+ * bit-identical), and the
  * store-side generation lifecycle (identity stability, retired-generation
  * byte accounting tied to outstanding views).
  */
@@ -259,21 +259,16 @@ TEST(DynDeterminism, CompactionAndMaintenanceAreWidthInvariant)
             auto store = make_store(topo.graph);
             DynamicGraph dg(store);
             dyn::CCMaintainer cc;
-            dyn::PageRankMaintainer pr;
             cc.rebuild(dg.view());
-            pr.rebuild(dg.view());
             support::Fnv1a h;
             for (int round = 0; round < 4; ++round) {
                 const auto effect =
                     dg.apply(script_batch(n, round, 0x5eed, 12));
                 cc.update(dg.view(), effect.value());
-                pr.update(dg.view(), effect.value());
                 dg.compact();
                 h.update_value(structure_hash(store->base()));
             }
             h.update_vector(cc.labels());
-            for (const score_t s : pr.scores())
-                h.update_value(s);
             h.update_vector(dyn::bfs_depths(dg.view(), 0));
             h.update_vector(dyn::sssp_dists(dg.view(), 0, 42));
             return h.digest();
@@ -368,35 +363,6 @@ TEST(DynIncremental, DeletesFallBackToFullAndStayCorrect)
     }
     EXPECT_GT(cc.stats().full, 0u);
     EXPECT_GT(cc.stats().incremental, 0u);
-}
-
-TEST(DynIncremental, DeltaPageRankStaysWithinConvergenceEpsilon)
-{
-    for (auto& topo : topologies()) {
-        const vid_t n = topo.graph.num_vertices();
-        auto store = make_store(topo.graph);
-        DynamicGraph dg(store);
-        // These laptop-scale graphs have tiny decay horizons relative to
-        // their size, so the production policy would (correctly) fall
-        // back to full recompute; disable it to pin the incremental math.
-        dyn::PageRankMaintainer pr({}, {.full_threshold = 1.0});
-        pr.rebuild(dg.view());
-
-        for (int round = 0; round < 5; ++round) {
-            const auto effect = dg.apply(script_batch(n, round, 0xfeed, 12));
-            ASSERT_TRUE(effect.status().is_ok());
-            pr.update(dg.view(), effect.value());
-            const std::vector<score_t> full = dyn::pagerank(dg.view());
-            ASSERT_EQ(pr.scores().size(), full.size());
-            score_t max_diff = 0;
-            for (std::size_t i = 0; i < full.size(); ++i) {
-                max_diff = std::max(max_diff,
-                                    std::abs(pr.scores()[i] - full[i]));
-            }
-            EXPECT_LT(max_diff, 1e-6) << topo.name << " round " << round;
-        }
-        EXPECT_GT(pr.stats().incremental, 0u);
-    }
 }
 
 TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)

@@ -75,6 +75,36 @@ TEST(ProfilePipeline, RunCellCollectsWorkloadMetrics)
     EXPECT_GE(m.wall_seconds, child_sum);
 }
 
+TEST(ProfilePipeline, GaussSeidelPageRankCountersAgreeAcrossFrameworks)
+{
+    // Galois, NWGraph and GKC share one Gauss–Seidel PR sweep, so their
+    // PR cells must count the same work.
+    const harness::Dataset ds = tiny_dataset();
+    harness::RunOptions opts;
+    opts.trials = 1;
+    opts.verify = false;
+    std::vector<obs::TrialMetrics> metrics;
+    for (const auto& fw : harness::make_frameworks()) {
+        if (fw.name != "Galois" && fw.name != "NWGraph" && fw.name != "GKC")
+            continue;
+        const harness::CellResult cell = harness::run_cell(
+            ds, fw, harness::Kernel::kPR, harness::Mode::kBaseline, opts);
+        ASSERT_TRUE(cell.completed()) << fw.name;
+        metrics.push_back(cell.metrics);
+    }
+    ASSERT_EQ(metrics.size(), 3u);
+    const std::uint64_t iterations = metrics[0].counter_or("iterations");
+    EXPECT_GT(iterations, 0u);
+    EXPECT_EQ(metrics[0].counter_or("edges_traversed"),
+              iterations * static_cast<std::uint64_t>(
+                                ds.g().num_edges_directed()));
+    for (const obs::TrialMetrics& m : metrics) {
+        EXPECT_EQ(m.counter_or("iterations"), iterations);
+        EXPECT_EQ(m.counter_or("edges_traversed"),
+                  metrics[0].counter_or("edges_traversed"));
+    }
+}
+
 TEST(ProfilePipeline, MetricsDisabledLeavesCellEmpty)
 {
     const harness::Dataset ds = tiny_dataset();

@@ -724,7 +724,7 @@ TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
     EXPECT_EQ(s.mutations, 1u);
     EXPECT_EQ(s.compactions, 1u);
     EXPECT_GT(s.mutation_inserted_arcs, 0u);
-    EXPECT_EQ(s.dyn_incremental + s.dyn_full, 2u); // CC + PR decisions
+    EXPECT_EQ(s.dyn_incremental + s.dyn_full, 1u); // the CC decision
 
     // And the new generation is a normal cache citizen again.
     auto rehit = server.query(req);
@@ -732,6 +732,37 @@ TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
     EXPECT_TRUE(rehit.value().cache_hit);
     EXPECT_EQ(rehit.value().generation, 1u);
     EXPECT_EQ(rehit.value().fingerprint, fresh.value().fingerprint);
+}
+
+TEST(ServeDynTest, MutateSecondsExcludesTheQuiesceWait)
+{
+    // The leader holds its lanes for 400 ms inside serve.execute, so
+    // mutate() first waits for it; that wait is quiesce, not mutate time.
+    ScopedFaults faults("serve.execute:1x:7:delay=400");
+    ServerOptions options;
+    options.workers = 1;
+    Server server(mutable_suite(), frameworks(), options);
+
+    Request req;
+    req.framework = "GAP";
+    req.kernel = Kernel::kCC;
+    req.graph = "Mut";
+    auto leader = server.submit(req);
+    ASSERT_TRUE(leader.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 1; }));
+
+    dyn::MutationBatch batch;
+    batch.insert(3, 180);
+    const auto begin = std::chrono::steady_clock::now();
+    auto outcome = server.mutate("Mut", batch);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_GT(wall, 0.1);
+    EXPECT_LT(outcome.value().mutate_seconds, 0.5 * wall);
+    EXPECT_TRUE(leader->wait().is_ok());
 }
 
 TEST(ServeDynTest, MutateRejectsBadInputWhole)

@@ -381,8 +381,7 @@ fi
 # Incremental maintenance must beat full recompute by >=5x on
 # CC/BFS/SSSP for small batches (<=0.1% of arcs), with every round
 # verified against the from-scratch result (exit 2 on divergence,
-# exit 4 below the speedup floor).  The committed reference baseline
-# lives in perf/baselines/dyn_maintenance.jsonl.
+# exit 4 below the speedup floor).
 "$BUILD_DIR/bench/dyn_maintenance" --out "$DYN_DIR/dyn_maintenance.jsonl" \
     | tail -6
 

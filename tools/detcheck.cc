@@ -169,12 +169,10 @@ run_dyn_rows(int scale)
         gm::dyn::CCMaintainer cc;
         gm::dyn::BfsMaintainer bfs(0);
         gm::dyn::SsspMaintainer sssp(0, kSeed);
-        gm::dyn::PageRankMaintainer pr;
         gm::dyn::GraphView view = dg.view();
         cc.rebuild(view);
         bfs.rebuild(view);
         sssp.rebuild(view);
-        pr.rebuild(view);
         for (int round = 0; round < kRounds; ++round) {
             const gm::dyn::MutationBatch batch = scripted_batch(
                 dg.view(), kSeed ^ (round * 0x9e3779b97f4a7c15ULL), 24);
@@ -186,7 +184,6 @@ run_dyn_rows(int scale)
             cc.update(view, *effect);
             bfs.update(view, *effect);
             sssp.update(view, *effect);
-            pr.update(view, *effect);
             dg.compact();
             view = dg.view();
         }
@@ -197,9 +194,7 @@ run_dyn_rows(int scale)
                   << "dyn,BFS," << topo.name << ","
                   << vector_digest(bfs.depths()) << "\n"
                   << "dyn,SSSP," << topo.name << ","
-                  << vector_digest(sssp.dists()) << "\n"
-                  << "dyn,PR," << topo.name << ","
-                  << vector_digest(pr.scores()) << std::dec << "\n";
+                  << vector_digest(sssp.dists()) << std::dec << "\n";
     }
 }
 

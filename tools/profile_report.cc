@@ -335,14 +335,14 @@ report_slo(const std::string& path)
                 m.deleted_arcs += u64("deleted_arcs");
                 m.compactions += u64("compacted");
                 m.generation = std::max(m.generation, u64("generation"));
-                for (const char* kernel : {"cc", "pr"}) {
-                    const std::string decision =
-                        field_or(fields, kernel, "none");
-                    if (decision == "incremental")
-                        ++m.incremental;
-                    else if (decision == "full")
-                        ++m.full;
-                }
+                // The CC maintainer's decision; records written before
+                // PageRank maintenance was dropped also carry a "pr"
+                // decision, which is ignored.
+                const std::string decision = field_or(fields, "cc", "none");
+                if (decision == "incremental")
+                    ++m.incremental;
+                else if (decision == "full")
+                    ++m.full;
                 m.dirty_fraction_total += dbl("dirty_fraction");
                 m.mutate_ms_total += dbl("mutate_ms");
             }

@@ -108,7 +108,7 @@ usage()
         << "                     apply a seeded mutation batch via\n"
         << "                     Server::mutate (inserts + an occasional\n"
         << "                     delete), exercising generation-tagged\n"
-        << "                     caching and incremental maintenance;\n"
+        << "                     caching and incremental CC maintenance;\n"
         << "                     closed-loop and chaos drivers only\n"
         << "                     (default 0)\n"
         << "  --plan-mix <frac>  fraction of request slots that also run a\n"
